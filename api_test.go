@@ -324,10 +324,10 @@ func TestPublicRuntime(t *testing.T) {
 }
 
 // TestPublicJobServer is the acceptance path of the job-server layer: two
-// concurrent jobs of different shapes share one pool, each keeps its own
-// identity, stats and latency, and AnalyzeProfile reports one deviation
-// verdict per job — each checked against its own envelope, with distinct
-// spans — instead of one blurred pooled verdict.
+// concurrent jobs of different shapes share a one-shard pool, each keeps
+// its own identity, stats and latency, and AnalyzeProfile reports one
+// deviation verdict per job — each checked against its own envelope, with
+// distinct spans — instead of one blurred pooled verdict.
 func TestPublicJobServer(t *testing.T) {
 	var fib func(rt *fl.Runtime, w *fl.W, n int) int
 	fib = func(rt *fl.Runtime, w *fl.W, n int) int {
@@ -339,16 +339,17 @@ func TestPublicJobServer(t *testing.T) {
 		return f.Touch(w) + y
 	}
 
-	rt := fl.NewRuntime(fl.WithWorkers(2), fl.WithMaxInFlight(8))
-	defer rt.Shutdown()
+	p := fl.NewPool(fl.WithShards(1), fl.WithPoolWorkers(2), fl.WithPoolMaxInFlight(8))
+	defer p.Shutdown()
+	rt := p.Runtime(0)
 	if err := rt.StartProfile(); err != nil {
 		t.Fatal(err)
 	}
-	j1, err := fl.Submit(rt, func(w *fl.W) int { return fib(rt, w, 12) })
+	j1, err := fl.PoolSubmit(p, func(w *fl.W) int { return fib(rt, w, 12) })
 	if err != nil {
 		t.Fatal(err)
 	}
-	j2, err := fl.Submit(rt, func(w *fl.W) int {
+	j2, err := fl.PoolSubmit(p, func(w *fl.W) int {
 		st := fl.Produce(rt, w, 16, func(_ *fl.W, i int) int { return i })
 		acc := 0
 		for i := 0; i < 16; i++ {

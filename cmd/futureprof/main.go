@@ -19,7 +19,7 @@
 //	futureprof -workload fib -steal steal-half   # batch-stealing thieves
 //	futureprof -workload fib -steal hierarchical -topology 2x2   # domain-tiered thieves
 //	futureprof -workload fib -events         # dump the raw event trace too
-//	futureprof -workload fib -jobs 4         # 4 concurrent jobs (Submit), one verdict each
+//	futureprof -workload fib -jobs 4         # 4 concurrent jobs (PoolSubmit), one verdict each
 //	futureprof -workload fib -o report.txt   # also write the report to a file
 //
 // -discipline sets the runtime-wide default fork discipline and -steal the
@@ -151,7 +151,7 @@ func main() {
 		topoSpec = flag.String("topology", "",
 			"cache topology for worker domains and the sim replay: a synthetic DxC spec (e.g. 2x2), or empty for the host hierarchy discovered from sysfs")
 		jobs = flag.Int("jobs", 1,
-			"concurrent copies of the workload to Submit as jobs (>1 profiles the multi-tenant job server and reports one per-job verdict each)")
+			"concurrent copies of the workload to submit as jobs (>1 profiles the multi-tenant job server and reports one per-job verdict each)")
 		flight = flag.Int("flight", 0,
 			"use the flight recorder instead of a profiling session: ring of N events per worker (0 = off); the report covers the recent window the ring holds")
 		outPath = flag.String("o", "", "also write the report to this file (for CI artifacts)")
@@ -168,21 +168,25 @@ func main() {
 		fmt.Fprintln(os.Stderr, "futureprof:", err)
 		os.Exit(1)
 	}
-	rtOpts := []fl.RuntimeOption{fl.WithWorkers(*workers), fl.WithDiscipline(disc),
-		fl.WithStealPolicy(stealPol)}
+	// A one-shard pool is a runtime serving jobs: -jobs submits through it,
+	// and its member runtime is what the profiler watches.
+	rtOpts := []fl.RuntimeOption{fl.WithDiscipline(disc), fl.WithStealPolicy(stealPol)}
+	if *flight > 0 {
+		rtOpts = append(rtOpts, fl.WithFlightRecorder(*flight))
+	}
+	poolOpts := []fl.PoolOption{fl.WithShards(1), fl.WithPoolWorkers(*workers),
+		fl.WithShardRuntimeOptions(rtOpts...)}
 	if *topoSpec != "" {
 		topo, err := fl.SyntheticTopology(*topoSpec)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "futureprof:", err)
 			os.Exit(1)
 		}
-		rtOpts = append(rtOpts, fl.WithTopology(topo))
+		poolOpts = append(poolOpts, fl.WithPoolTopology(topo))
 	}
-	if *flight > 0 {
-		rtOpts = append(rtOpts, fl.WithFlightRecorder(*flight))
-	}
-	rt := fl.NewRuntime(rtOpts...)
-	defer rt.Shutdown()
+	p := fl.NewPool(poolOpts...)
+	defer p.Shutdown()
+	rt := p.Runtime(0)
 
 	size := *n
 	preset := func(d int) int {
@@ -227,9 +231,9 @@ func main() {
 		// Multi-tenant mode: submit every copy before waiting on any, so the
 		// computations genuinely interleave on the pool and the report's
 		// per-job section shows each DAG's own envelope verdict.
-		handles := make([]fl.Job[struct{}], 0, *jobs)
+		handles := make([]fl.PoolJob[struct{}], 0, *jobs)
 		for i := 0; i < *jobs; i++ {
-			j, err := fl.Submit(rt, func(w *fl.W) struct{} { run(w); return struct{}{} })
+			j, err := fl.PoolSubmit(p, func(w *fl.W) struct{} { run(w); return struct{}{} })
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "futureprof:", err)
 				os.Exit(1)

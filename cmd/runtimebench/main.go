@@ -102,8 +102,8 @@ type Entry struct {
 	P95LatencyMS  float64 `json:"p95_latency_ms,omitempty"`
 	P99LatencyMS  float64 `json:"p99_latency_ms,omitempty"`
 	MeanLatencyMS float64 `json:"mean_latency_ms,omitempty"`
-	// Shards marks a pool-backed serve/knee run (0 = the legacy
-	// single-runtime server). JobsForwarded counts jobs the pool's router
+	// Shards is the serve/knee pool's member-runtime count (1 = a single
+	// runtime serving jobs). JobsForwarded counts jobs the pool's router
 	// admitted on a non-home shard after the placed shard refused — overflow
 	// the exchange converted from would-be sheds.
 	Shards        int   `json:"shards,omitempty"`
@@ -135,26 +135,38 @@ type TimelinePoint struct {
 	WithinBound      bool    `json:"within_bound"`
 }
 
-// samplePoint reads one timeline sample off the live runtime — atomic
-// snapshot loads plus a flight-window reconstruction, cheap enough for a
-// 500ms cadence.
-func samplePoint(rt *fl.Runtime, start time.Time) TimelinePoint {
-	s := rt.TelemetrySnapshot()
-	p := TimelinePoint{
+// samplePoint reads one timeline sample off the live pool — atomic
+// snapshot loads plus a flight-window reconstruction per shard, cheap
+// enough for a 500ms cadence: counters and steals summed over the shard
+// snapshots, the tail from the merged latency histogram, shed from the
+// router (jobs dropped everywhere, not per-shard refusals), and the flight
+// fields summed over the shards carrying recorders — WithinBound only when
+// every recorded window sits inside its envelope.
+func samplePoint(p *fl.Pool, start time.Time) TimelinePoint {
+	pt := TimelinePoint{
 		TSec:         time.Since(start).Seconds(),
-		JobsDone:     s.Total(fl.CJobsCompleted),
-		JobsShed:     s.Total(fl.CJobsShed),
-		InFlight:     rt.InFlight(),
-		TasksRun:     s.Total(fl.CTasksRun),
-		Steals:       s.Steals(),
-		P99LatencyMS: float64(rt.LatencyHist().Quantile(0.99)) / 1e6,
+		JobsShed:     p.Shed(),
+		InFlight:     p.InFlight(),
+		P99LatencyMS: float64(p.LatencyHist().Quantile(0.99)) / 1e6,
 	}
-	if env, err := rt.FlightEnvelope(); err == nil {
-		p.FlightDeviations = env.Deviations
-		p.FlightEnvelope = env.Budget
-		p.WithinBound = env.Within()
+	for _, s := range p.TelemetrySnapshots() {
+		pt.JobsDone += s.Total(fl.CJobsCompleted)
+		pt.TasksRun += s.Total(fl.CTasksRun)
+		pt.Steals += s.Steals()
 	}
-	return p
+	within, any := true, false
+	for i := 0; i < p.Shards(); i++ {
+		env, err := p.FlightEnvelope(i)
+		if err != nil {
+			continue
+		}
+		any = true
+		pt.FlightDeviations += env.Deviations
+		pt.FlightEnvelope += env.Budget
+		within = within && env.Within()
+	}
+	pt.WithinBound = any && within
+	return pt
 }
 
 // Output is the file schema.
@@ -167,22 +179,18 @@ type Output struct {
 	// background load, which slows the calibration by the same factor).
 	CalibrationNs int64   `json:"calibration_ns"`
 	Entries       []Entry `json:"entries"`
-	// Knee summary (-scenario knee): the highest offered arrival rate the
-	// server sustained (shed fraction and p99 latency both under their
-	// thresholds across the geometric sweep) and the throughput measured at
-	// that rate. The knee gate compares KneeThroughput against the baseline.
-	// The legacy top-level pair describes the single-runtime server only;
-	// Knees records one knee per (shards × workers) configuration, so the
-	// file accumulates the sharded scaling curve and each configuration
-	// gates only against its own baseline key.
-	KneeRateJobsSec float64      `json:"knee_rate_jobs_sec,omitempty"`
-	KneeThroughput  float64      `json:"knee_throughput_jobs_sec,omitempty"`
-	Knees           []KneeRecord `json:"knees,omitempty"`
+	// Knees records one knee summary (-scenario knee) per (shards × workers)
+	// configuration: the highest offered arrival rate the server sustained
+	// (shed fraction and p99 latency both under their thresholds across the
+	// geometric sweep) and the throughput measured at that rate. The file
+	// accumulates the sharded scaling curve, and each configuration gates
+	// only against its own baseline key.
+	Knees []KneeRecord `json:"knees,omitempty"`
 }
 
-// KneeRecord is one (shards × workers) knee measurement. Shards 0 is the
-// single-runtime server; N ≥ 1 is a pool of N domain-aligned runtimes
-// behind the job router.
+// KneeRecord is one (shards × workers) knee measurement: a pool of Shards
+// domain-aligned runtimes behind the job router (1 = a single runtime
+// serving jobs).
 type KneeRecord struct {
 	Shards      int     `json:"shards"`
 	Workers     int     `json:"workers"`
@@ -434,20 +442,23 @@ type serveKind struct {
 	want int
 }
 
-// makeServeKinds precomputes the three job bodies once per runtime, so the
+// makeServeKinds precomputes the three job bodies once per server, so the
 // arrival loop submits existing closures instead of allocating one per
-// request — the submit path under measurement stays the runtime's, not the
-// harness's.
-func makeServeKinds(rt *fl.Runtime, tree *treeNode, treeDepth, treeCut int) [3]serveKind {
+// request — the submit path under measurement stays the pool's, not the
+// harness's. The bodies resolve the runtime from the executing worker
+// (w.Runtime()), so a job the router forwarded to another shard spawns its
+// interior tasks on that shard — whole jobs move between shards, interior
+// tasks never do.
+func makeServeKinds(tree *treeNode, treeDepth, treeCut int) [3]serveKind {
 	const items = 512
 	pipeWant := 0
 	for i := 0; i < items; i++ {
 		pipeWant ^= i*31 + 7
 	}
 	return [3]serveKind{
-		{func(w *fl.W) int { return fib(rt, w, 20, 12) }, fibSeq(20)},
-		{func(w *fl.W) int { return treeSum(rt, w, tree, treeDepth, treeCut) }, treeSumSeq(tree)},
-		{func(w *fl.W) int { return pipeline(rt, w, items) }, pipeWant},
+		{func(w *fl.W) int { return fib(w.Runtime(), w, 20, 12) }, fibSeq(20)},
+		{func(w *fl.W) int { return treeSum(w.Runtime(), w, tree, treeDepth, treeCut) }, treeSumSeq(tree)},
+		{func(w *fl.W) int { return pipeline(w.Runtime(), w, items) }, pipeWant},
 	}
 }
 
@@ -467,36 +478,39 @@ type serveConfig struct {
 	// timeline enables the 500ms telemetry sampler (the serve scenario's
 	// live view; the knee sweep leaves it off — many short runs).
 	timeline bool
-	// shards > 0 runs the server on a sharded pool (that many domain-aligned
-	// runtimes behind the router) instead of one runtime.
+	// shards is the pool's member-runtime count: domain-aligned runtimes
+	// behind the job router (1 = a single runtime serving jobs).
 	shards int
 }
 
-// serve runs one job-server scenario: an open-loop arrival process (the
-// next arrival is scheduled by an exponential inter-arrival draw from the
-// offered rate, independent of completions — so a slow server builds queue
-// and its latency tail shows it, exactly what a closed loop would hide)
-// submitting small mixed fib/treesum/pipeline jobs for the given duration,
-// with WithMaxInFlight admission shedding overload. It reports sustained
-// throughput and the completed jobs' p50/p95/p99 submit→done latency.
+// serve runs one job-server scenario on a pool of cfg.shards runtimes: an
+// open-loop arrival process (the next arrival is scheduled by an
+// exponential inter-arrival draw from the offered rate, independent of
+// completions — so a slow server builds queue and its latency tail shows
+// it, exactly what a closed loop would hide) submitting small mixed
+// fib/treesum/pipeline jobs for the given duration, with
+// WithPoolMaxInFlight admission shedding overload. The measured knee
+// includes placement and overflow forwarding, not just one runtime's
+// admission. It reports sustained throughput and the completed jobs'
+// p50/p95/p99 submit→done latency; JobsRejected counts jobs no shard
+// admitted, JobsForwarded jobs the overflow exchange rescued onto a
+// non-home shard.
 func serve(cfg serveConfig) Entry {
-	if cfg.shards > 0 {
-		return servePool(cfg)
-	}
-	// The serve runtime carries the full observability stack (the sweep
+	// The serve runtimes carry the full observability stack (the sweep
 	// runtimes deliberately do not add the flight recorder, keeping the
 	// gated numbers comparable to the committed baseline): a sampler
 	// goroutine reads the counters, latency histogram, and rolling
 	// flight-window envelope every 500ms into the entry's Timeline.
-	rt := fl.NewRuntime(fl.WithWorkers(cfg.workers), fl.WithMaxInFlight(cfg.maxInFlight),
-		fl.WithFlightRecorder(0))
-	defer rt.Shutdown()
+	p := fl.NewPool(fl.WithShards(cfg.shards), fl.WithPoolWorkers(cfg.workers),
+		fl.WithPoolMaxInFlight(cfg.maxInFlight),
+		fl.WithShardRuntimeOptions(fl.WithFlightRecorder(0)))
+	defer p.Shutdown()
 
 	// A small tree (2^12-1 nodes) keeps one treesum job ~request-sized.
 	const treeDepth, treeCut = 12, 8
 	next := 0
 	tree := buildTree(treeDepth, &next)
-	kinds := makeServeKinds(rt, tree, treeDepth, treeCut)
+	kinds := makeServeKinds(tree, treeDepth, treeCut)
 	batch := cfg.batch
 	if batch < 1 {
 		batch = 1
@@ -526,7 +540,7 @@ func serve(cfg serveConfig) Entry {
 				case <-tlStop:
 					return
 				case <-tick.C:
-					timeline = append(timeline, samplePoint(rt, start))
+					timeline = append(timeline, samplePoint(p, start))
 				}
 			}
 		}()
@@ -534,206 +548,6 @@ func serve(cfg serveConfig) Entry {
 
 	// The per-job handler: waits for its own job and records its latency,
 	// like an HTTP handler goroutine writing the response.
-	handle := func(j fl.Job[int], want int) {
-		defer wg.Done()
-		v, err := j.WaitErr()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "runtimebench: serve job:", err)
-			os.Exit(1)
-		}
-		if v != want {
-			fmt.Fprintf(os.Stderr, "runtimebench: serve job = %d, want %d\n", v, want)
-			os.Exit(1)
-		}
-		ms := float64(j.Latency()) / 1e6
-		mu.Lock()
-		latencies = append(latencies, ms)
-		mu.Unlock()
-	}
-
-	fns := make([]func(*fl.W) int, 0, batch)
-	wants := make([]int, 0, batch)
-	dst := make([]fl.Job[int], 0, batch)
-	due := start
-	for {
-		rng = xorshift64(rng)
-		// Exponential inter-arrival between events: -ln(U)·batch/rate, U
-		// uniform in (0,1] — batch jobs per event keeps the offered job rate.
-		u := (float64(rng>>11) + 1) / (1 << 53)
-		due = due.Add(time.Duration(-math.Log(u) * float64(batch) / cfg.rate * float64(time.Second)))
-		if due.Sub(start) >= cfg.dur {
-			break
-		}
-		if d := time.Until(due); d > 0 {
-			time.Sleep(d)
-		}
-		if batch == 1 {
-			rng = xorshift64(rng)
-			k := kinds[rng%3]
-			j, err := fl.Submit(rt, k.fn)
-			if err != nil {
-				// ErrSaturated: admission control shed the request.
-				rejected++
-				continue
-			}
-			wg.Add(1)
-			go handle(j, k.want)
-			continue
-		}
-		fns, wants, dst = fns[:0], wants[:0], dst[:0]
-		for b := 0; b < batch; b++ {
-			rng = xorshift64(rng)
-			k := kinds[rng%3]
-			fns = append(fns, k.fn)
-			wants = append(wants, k.want)
-		}
-		var err error
-		dst, err = fl.SubmitAll(rt, fns, dst)
-		if err != nil && !errors.Is(err, fl.ErrSaturated) {
-			fmt.Fprintln(os.Stderr, "runtimebench: serve batch:", err)
-			os.Exit(1)
-		}
-		// Partial admission: the admitted prefix proceeds, the rest is shed.
-		rejected += int64(batch - len(dst))
-		for k := range dst {
-			wg.Add(1)
-			go handle(dst[k], wants[k])
-		}
-	}
-	wg.Wait()
-	if cfg.timeline {
-		close(tlStop)
-		<-tlDone
-		// One closing sample captures the drained end state.
-		timeline = append(timeline, samplePoint(rt, start))
-	}
-	elapsed := time.Since(start).Seconds()
-
-	e := Entry{
-		Workload:     cfg.workload,
-		Discipline:   rt.Discipline().String(),
-		Steal:        rt.StealPolicy().String(),
-		Workers:      cfg.workers,
-		N:            len(latencies),
-		DurationS:    elapsed,
-		RateJobsSec:  cfg.rate,
-		Throughput:   float64(len(latencies)) / elapsed,
-		JobsDone:     int64(len(latencies)),
-		JobsRejected: rejected,
-		MaxInFlight:  cfg.maxInFlight,
-		Timeline:     timeline,
-	}
-	if batch > 1 {
-		e.BatchSize = batch
-	}
-	if len(latencies) > 0 {
-		p := stats.Percentiles(latencies, 50, 95, 99)
-		e.P50LatencyMS, e.P95LatencyMS, e.P99LatencyMS = p[0], p[1], p[2]
-		e.MeanLatencyMS = stats.Summarize(latencies).Mean
-	}
-	return e
-}
-
-// makeServeKindsPool is makeServeKinds for a pool-backed server: the job
-// bodies resolve the runtime from the executing worker (w.Runtime()), so a
-// job the router forwarded to another shard spawns its interior tasks on
-// that shard — whole jobs move between shards, interior tasks never do.
-func makeServeKindsPool(tree *treeNode, treeDepth, treeCut int) [3]serveKind {
-	const items = 512
-	pipeWant := 0
-	for i := 0; i < items; i++ {
-		pipeWant ^= i*31 + 7
-	}
-	return [3]serveKind{
-		{func(w *fl.W) int { return fib(w.Runtime(), w, 20, 12) }, fibSeq(20)},
-		{func(w *fl.W) int { return treeSum(w.Runtime(), w, tree, treeDepth, treeCut) }, treeSumSeq(tree)},
-		{func(w *fl.W) int { return pipeline(w.Runtime(), w, items) }, pipeWant},
-	}
-}
-
-// samplePointPool is samplePoint across a pool: counters and steals summed
-// over the shard snapshots, the tail from the merged latency histogram,
-// shed from the router (jobs dropped everywhere, not per-shard refusals),
-// and the flight fields summed over the shards carrying recorders —
-// WithinBound only when every recorded window sits inside its envelope.
-func samplePointPool(p *fl.Pool, start time.Time) TimelinePoint {
-	pt := TimelinePoint{
-		TSec:         time.Since(start).Seconds(),
-		JobsShed:     p.Shed(),
-		InFlight:     p.InFlight(),
-		P99LatencyMS: float64(p.LatencyHist().Quantile(0.99)) / 1e6,
-	}
-	for _, s := range p.TelemetrySnapshots() {
-		pt.JobsDone += s.Total(fl.CJobsCompleted)
-		pt.TasksRun += s.Total(fl.CTasksRun)
-		pt.Steals += s.Steals()
-	}
-	within, any := true, false
-	for i := 0; i < p.Shards(); i++ {
-		env, err := p.FlightEnvelope(i)
-		if err != nil {
-			continue
-		}
-		any = true
-		pt.FlightDeviations += env.Deviations
-		pt.FlightEnvelope += env.Budget
-		within = within && env.Within()
-	}
-	pt.WithinBound = any && within
-	return pt
-}
-
-// servePool is the serve engine on a sharded pool backend (cfg.shards > 0):
-// the same open-loop arrival process driving cfg.shards domain-aligned
-// runtimes behind the job router, so the measured knee includes placement
-// and overflow forwarding, not just one runtime's admission. The entry's
-// JobsRejected counts jobs no shard admitted; JobsForwarded counts jobs
-// the overflow exchange rescued onto a non-home shard.
-func servePool(cfg serveConfig) Entry {
-	p := fl.NewPool(fl.WithShards(cfg.shards), fl.WithPoolWorkers(cfg.workers),
-		fl.WithPoolMaxInFlight(cfg.maxInFlight),
-		fl.WithShardRuntimeOptions(fl.WithFlightRecorder(0)))
-	defer p.Shutdown()
-
-	const treeDepth, treeCut = 12, 8
-	next := 0
-	tree := buildTree(treeDepth, &next)
-	kinds := makeServeKindsPool(tree, treeDepth, treeCut)
-	batch := cfg.batch
-	if batch < 1 {
-		batch = 1
-	}
-
-	var (
-		mu        sync.Mutex
-		latencies []float64 // ms, completed jobs only
-		wg        sync.WaitGroup
-		rejected  int64
-	)
-	rng := cfg.seed | 1
-	start := time.Now()
-
-	var (
-		timeline []TimelinePoint
-		tlStop   = make(chan struct{})
-		tlDone   = make(chan struct{})
-	)
-	if cfg.timeline {
-		go func() {
-			defer close(tlDone)
-			tick := time.NewTicker(500 * time.Millisecond)
-			defer tick.Stop()
-			for {
-				select {
-				case <-tlStop:
-					return
-				case <-tick.C:
-					timeline = append(timeline, samplePointPool(p, start))
-				}
-			}
-		}()
-	}
-
 	handle := func(j fl.PoolJob[int], want int) {
 		defer wg.Done()
 		v, err := j.WaitErr()
@@ -757,6 +571,8 @@ func servePool(cfg serveConfig) Entry {
 	due := start
 	for {
 		rng = xorshift64(rng)
+		// Exponential inter-arrival between events: -ln(U)·batch/rate, U
+		// uniform in (0,1] — batch jobs per event keeps the offered job rate.
 		u := (float64(rng>>11) + 1) / (1 << 53)
 		due = due.Add(time.Duration(-math.Log(u) * float64(batch) / cfg.rate * float64(time.Second)))
 		if due.Sub(start) >= cfg.dur {
@@ -791,6 +607,7 @@ func servePool(cfg serveConfig) Entry {
 			fmt.Fprintln(os.Stderr, "runtimebench: serve batch:", err)
 			os.Exit(1)
 		}
+		// Partial admission: the admitted prefix proceeds, the rest is shed.
 		rejected += int64(batch - len(dst))
 		for k := range dst {
 			wg.Add(1)
@@ -801,7 +618,8 @@ func servePool(cfg serveConfig) Entry {
 	if cfg.timeline {
 		close(tlStop)
 		<-tlDone
-		timeline = append(timeline, samplePointPool(p, start))
+		// One closing sample captures the drained end state.
+		timeline = append(timeline, samplePoint(p, start))
 	}
 	elapsed := time.Since(start).Seconds()
 
@@ -851,10 +669,6 @@ type kneeParams struct {
 // output so the whole rate-response curve is recorded, not just the knee.
 func kneeFind(p kneeParams) (entries []Entry, kneeRate, kneeThroughput float64) {
 	rate := p.start
-	tag := ""
-	if p.shards > 0 {
-		tag = fmt.Sprintf(" shards=%d", p.shards)
-	}
 	for i := 0; i < p.steps; i++ {
 		e := serve(serveConfig{
 			workload: "knee", workers: p.workers, dur: p.perRate, rate: rate,
@@ -872,8 +686,8 @@ func kneeFind(p kneeParams) (entries []Entry, kneeRate, kneeThroughput float64) 
 		if !e.Sustained {
 			verdict = "knee crossed"
 		}
-		fmt.Printf("runtimebench: knee%s rate=%.0f/s done=%d fwd=%d shed=%.3f p50=%.2fms p99=%.2fms → %s\n",
-			tag, rate, e.JobsDone, e.JobsForwarded, shed, e.P50LatencyMS, e.P99LatencyMS, verdict)
+		fmt.Printf("runtimebench: knee shards=%d rate=%.0f/s done=%d fwd=%d shed=%.3f p50=%.2fms p99=%.2fms → %s\n",
+			p.shards, rate, e.JobsDone, e.JobsForwarded, shed, e.P50LatencyMS, e.P99LatencyMS, verdict)
 		if !e.Sustained {
 			break
 		}
@@ -1055,8 +869,8 @@ func checkRegression(base, cur Output, maxRegressPct float64) []string {
 			// Open-loop latency entries are a trajectory, not a per-entry
 			// gate: CI background load moves tail latency far more than any
 			// real regression would, so serve and knee entries are recorded
-			// but never fail the build here (the knee has its own dedicated
-			// whole-sweep gate on KneeThroughput).
+			// but never fail the build here (each knee configuration has its
+			// own whole-sweep gate on its KneeRecord throughput).
 			continue
 		}
 		b, ok := byKey[entryKey(e)]
@@ -1087,8 +901,8 @@ func main() {
 		topoDump   = flag.String("topodump", "", "topo: also write the discovered host topology and the synthetic layout to this file (CI artifact)")
 		duration   = flag.Duration("duration", 2*time.Second, "serve: open-loop arrival window")
 		rate       = flag.Float64("rate", 150, "serve: offered arrival rate, jobs/sec")
-		inflight   = flag.Int("maxinflight", 64, "serve/knee: admission cap (WithMaxInFlight; pools split it across shards)")
-		shards     = flag.Int("shards", 0, "serve/knee: run the server on a sharded pool with this many member runtimes (0 = single runtime, the legacy path)")
+		inflight   = flag.Int("maxinflight", 64, "serve/knee: admission cap (WithPoolMaxInFlight, split across shards)")
+		shards     = flag.Int("shards", 1, "serve/knee: member runtimes of the job-server pool (1 = a single runtime serving jobs)")
 		appendOut  = flag.Bool("append", false, "merge this run's entries and knee records into an existing -o file instead of replacing it (baseline regeneration)")
 		serveSeed  = flag.Uint64("serveseed", 7, "serve/knee: arrival-process seed")
 		batch      = flag.Int("batch", 1, "serve/knee: jobs per SubmitAll batch (1 = single Submit per arrival)")
@@ -1191,11 +1005,6 @@ func main() {
 		o.Knees = append(o.Knees, KneeRecord{
 			Shards: *shards, Workers: wk, RateJobsSec: kneeRate, Throughput: kneeThroughput,
 		})
-		if *shards == 0 {
-			// The legacy top-level pair keeps older tooling reading the file
-			// working; sharded knees live only in the keyed Knees list.
-			o.KneeRateJobsSec, o.KneeThroughput = kneeRate, kneeThroughput
-		}
 	}
 	var topoFailures []string
 	if runTopo {
@@ -1365,8 +1174,7 @@ func writeTopoDump(path string) {
 // mergeOutput folds a fresh run into an existing output file (-append):
 // fresh entries replace same-key existing entries (knee entries carry
 // shards in their key, so a sharded knee rerun replaces only its own
-// configuration), knee records upsert by (shards × workers), and the
-// existing top-level fields survive unless the fresh run set them — so a
+// configuration), and knee records upsert by (shards × workers) — so a
 // sharded knee run extends the committed baseline without discarding the
 // sweep entries recorded by the main run.
 func mergeOutput(existing, fresh Output) Output {
@@ -1382,9 +1190,6 @@ func mergeOutput(existing, fresh Output) Output {
 		}
 	}
 	out.Entries = append(kept, fresh.Entries...)
-	if fresh.KneeThroughput > 0 {
-		out.KneeRateJobsSec, out.KneeThroughput = fresh.KneeRateJobsSec, fresh.KneeThroughput
-	}
 	for _, r := range fresh.Knees {
 		replaced := false
 		for i, b := range out.Knees {
@@ -1403,9 +1208,8 @@ func mergeOutput(existing, fresh Output) Output {
 
 // writeAndGate writes the output file (merging into an existing one under
 // -append) and applies the regression gates against the baseline, if one
-// was given: the per-entry calibrated-ratio gate over the sweep entries,
-// the legacy whole-sweep knee-throughput gate, and a per-(shards × workers)
-// gate over this run's knee records. A knee configuration with no matching
+// was given: the per-entry calibrated-ratio gate over the sweep entries and
+// a per-(shards × workers) gate over this run's knee records. A knee configuration with no matching
 // baseline key is recorded but never gated — new axes enter the file one
 // run before they start gating.
 func writeAndGate(o Output, out string, doAppend bool, base Output, haveBase bool, maxRegress, kneeRegress float64) {
@@ -1445,17 +1249,6 @@ func writeAndGate(o Output, out string, doAppend bool, base Output, haveBase boo
 			os.Exit(1)
 		}
 		fmt.Printf("runtimebench: no entry regressed more than %.0f%% vs baseline\n", maxRegress)
-		if o.KneeThroughput > 0 && base.KneeThroughput > 0 {
-			limit := base.KneeThroughput * (1 - kneeRegress/100)
-			if o.KneeThroughput < limit {
-				fmt.Fprintf(os.Stderr,
-					"runtimebench: knee regression: %.0f jobs/s vs baseline %.0f jobs/s (limit -%.0f%%)\n",
-					o.KneeThroughput, base.KneeThroughput, kneeRegress)
-				os.Exit(1)
-			}
-			fmt.Printf("runtimebench: knee %.0f jobs/s holds vs baseline %.0f jobs/s (limit -%.0f%%)\n",
-				o.KneeThroughput, base.KneeThroughput, kneeRegress)
-		}
 		for _, r := range o.Knees {
 			var b *KneeRecord
 			for i := range base.Knees {

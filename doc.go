@@ -69,40 +69,39 @@
 //     runtime closed by Shutdown or a cancelled WithContext context fails
 //     spawns fast with ErrClosed instead of hanging.
 //
-//   - Job server (Submit, SubmitAll, SubmitWait, Job, WithMaxInFlight):
-//     the runtime as a multi-tenant service. Submit is non-blocking and
-//     returns a typed Job handle (Wait / WaitErr / TryWait / Done) — a
-//     value with a generation check, because job roots recycle through
-//     per-domain freelists and a steady-state Submit+Wait round trip
-//     allocates nothing; every task a job's computation spawns inherits
-//     the job's identity, so each job gets its own Stats (tasks, steals,
-//     touch modes), queue-wait and wall-latency capture, and profiler
-//     attribution (job IDs are never reused). SubmitAll admits a whole
-//     batch in one visit — one striped-CAS admission, one ID block, one
-//     wakeup decision; all-or-prefix at the cap. WithMaxInFlight adds
-//     admission control: at the cap Submit sheds load with ErrSaturated
-//     while SubmitWait queues; shutdown fails queued jobs fast with
+//   - Sharded pool (NewPool, PoolSubmit, PoolSubmitAll, PoolSubmitWait,
+//     PoolSubmitKeyed, PoolJob, WithShards, WithPoolMaxInFlight,
+//     WithPlacement): the job server — runtimes as a multi-tenant
+//     service; a one-shard pool is a single runtime serving jobs.
+//     PoolSubmit is non-blocking and returns a typed PoolJob handle
+//     (Wait / WaitErr / TryWait / Done) — a value with a generation check,
+//     because job roots recycle through per-domain freelists and a
+//     steady-state submit+wait round trip allocates nothing; every task a
+//     job's computation spawns inherits the job's identity, so each job
+//     gets its own Stats (tasks, steals, touch modes), queue-wait and
+//     wall-latency capture, and profiler attribution (job IDs are never
+//     reused). PoolSubmitAll admits a whole batch in one visit — one
+//     striped-CAS admission, one ID block, one wakeup decision;
+//     all-or-prefix at the cap. WithPoolMaxInFlight adds admission
+//     control: at the cap PoolSubmit sheds load with ErrSaturated while
+//     PoolSubmitWait queues; shutdown fails queued jobs fast with
 //     ErrClosed — waiters never hang. Because the paper's deviation bound
 //     is per computation, AnalyzeProfile splits a multi-tenant trace by
 //     job (Event.Job) and reports one deviation-vs-envelope verdict per
 //     job — each concurrent DAG is checked against its own P·T∞², not a
-//     pooled blur (see Report.Jobs).
-//
-//   - Sharded pool (NewPool, PoolSubmit, PoolSubmitKeyed, WithShards,
-//     WithPlacement): the serve path scaled out — S independent runtimes,
-//     by default one per LLC locality domain with each shard's workers
-//     pinned inside its domain, behind a router with the same submit
-//     surface. Placement is least-loaded (O(1) in-flight gauges),
-//     round-robin, or consistent-hash on an optional job key (the ring
-//     depends only on shard identity, so resizing moves ~1/S of keys and
-//     none between surviving shards); when the placed shard's admission
-//     is saturated the router forwards the whole job to the least-loaded
-//     shard before shedding — whole jobs move between shards, interior
-//     tasks never do, so every job's P·T∞² envelope verdict stays
-//     attributed to the one runtime that executed it. Pool.WriteMetrics
-//     merges every shard's page under a shard label and counts router
-//     outcomes (offered/forwarded/shed) separately; Shutdown drains
-//     shard by shard, rolling.
+//     pooled blur (see Report.Jobs). Scaled out, S shards default to one
+//     per LLC locality domain with each shard's workers pinned inside its
+//     domain, behind a router: placement is least-loaded (O(1) in-flight
+//     gauges), round-robin, or consistent-hash on an optional job key (the
+//     ring depends only on shard identity, so resizing moves ~1/S of keys
+//     and none between surviving shards); when the placed shard's
+//     admission is saturated the router forwards the whole job to the
+//     least-loaded shard before shedding — whole jobs move between shards,
+//     interior tasks never do, so every job's P·T∞² envelope verdict
+//     stays attributed to the one runtime that executed it.
+//     Pool.WriteMetrics merges every shard's page under a shard label and
+//     counts router outcomes (offered/forwarded/shed) separately; Shutdown
+//     drains shard by shard, rolling.
 //
 //   - Profiler (Runtime.StartProfile, ReconstructProfile, AnalyzeProfile):
 //     a near-zero-overhead event recorder wired into the runtime's

@@ -284,12 +284,9 @@ type (
 	// Sync is a structured-concurrency scope — the runtime counterpart of
 	// the paper's super final node (Section 6.2).
 	Sync = runtime.Sync
-	// Job is the handle to one submitted root computation on the job-server
-	// layer: a typed future of the result plus per-job identity, stats, and
-	// wall-latency capture.
-	Job[T any] = runtime.Job[T]
 	// JobStats is a per-job snapshot of scheduler counters and wall-clock
-	// capture (the job-scoped analogue of RuntimeStats).
+	// capture (the job-scoped analogue of RuntimeStats), read from a
+	// PoolJob's Stats.
 	JobStats = runtime.JobStats
 	// Stream is a local-touch pipeline stage (Section 6.1): one producer
 	// task computing a sequence of single-touch values.
@@ -303,8 +300,8 @@ var ErrDoubleTouch = runtime.ErrDoubleTouch
 // shut down, explicitly or via WithContext cancellation.
 var ErrClosed = runtime.ErrClosed
 
-// ErrSaturated reports a Submit rejected by admission control (the runtime
-// already has WithMaxInFlight jobs in flight).
+// ErrSaturated reports a PoolSubmit rejected by admission control (every
+// shard it tried already has its WithPoolMaxInFlight share in flight).
 var ErrSaturated = runtime.ErrSaturated
 
 // NewRuntime starts a work-stealing futures runtime:
@@ -343,10 +340,6 @@ func WithTopology(t *Topology) RuntimeOption { return runtime.WithTopology(t) }
 // runtime down, failing still-queued tasks fast with ErrClosed.
 func WithContext(ctx context.Context) RuntimeOption { return runtime.WithContext(ctx) }
 
-// WithMaxInFlight caps concurrently in-flight submitted jobs (admission
-// control): at the cap Submit rejects with ErrSaturated, SubmitWait queues.
-func WithMaxInFlight(n int) RuntimeOption { return runtime.WithMaxInFlight(n) }
-
 // Spawn creates a future under the runtime's default fork discipline
 // (ParentFirst unless WithDiscipline says otherwise). w may be nil.
 func Spawn[T any](rt *Runtime, w *W, fn func(*W) T) *Future[T] {
@@ -363,34 +356,6 @@ func SpawnWith[T any](rt *Runtime, w *W, d Discipline, fn func(*W) T) *Future[T]
 
 // Run submits fn as the root task and blocks for its result.
 func Run[T any](rt *Runtime, fn func(*W) T) T { return runtime.Run(rt, fn) }
-
-// Submit submits fn as a new job on the job-server layer and returns its
-// handle without blocking — the multi-tenant entry point: many jobs share
-// the worker pool, each with its own ID, Stats, latency capture, and
-// profiler attribution (Event.Job). On a saturated runtime (WithMaxInFlight)
-// it rejects with ErrSaturated; on a closed one, with ErrClosed. The handle
-// is a value (steady-state Submit+Wait allocates nothing); copy it freely
-// but consume it — Wait/WaitErr/TryWait — exactly once across all copies.
-func Submit[T any](rt *Runtime, fn func(*W) T) (Job[T], error) { return runtime.Submit(rt, fn) }
-
-// SubmitWait is Submit with queueing backpressure: it blocks while the
-// runtime is saturated and returns ErrClosed if the runtime shuts down
-// before a slot frees.
-func SubmitWait[T any](rt *Runtime, fn func(*W) T) (Job[T], error) {
-	return runtime.SubmitWait(rt, fn)
-}
-
-// SubmitAll submits a batch of roots in one admission visit: one token grab
-// per admission stripe, one registry-shard lock for the whole batch, one
-// bounded wakeup decision — the high-rate producer's amortized entry point.
-// It appends the handles to dst (pass nil, or a retained slice to keep the
-// steady state allocation-free) and returns the extended slice. On a
-// saturated runtime the batch is admitted as far as capacity allows:
-// partial admission returns the admitted prefix alongside ErrSaturated, and
-// the remainder is shed.
-func SubmitAll[T any](rt *Runtime, fns []func(*W) T, dst []Job[T]) ([]Job[T], error) {
-	return runtime.SubmitAll(rt, fns, dst)
-}
 
 // RunErr is Run with an error surface: a panicking root task returns a
 // *PanicError instead of re-panicking; a closed runtime returns ErrClosed.
@@ -568,19 +533,23 @@ var ErrNoFlight = runtime.ErrNoFlight
 func WithFlightRecorder(size int) RuntimeOption { return runtime.WithFlightRecorder(size) }
 
 // ---------------------------------------------------------------------------
-// Sharded pool: multiple runtimes behind one job router.
+// Job server: a pool of runtimes behind one job router. A one-shard pool
+// (WithShards(1)) is a single runtime serving jobs.
 
 type (
-	// Pool is a sharded job server: S independent Runtimes — by default one
-	// per LLC locality domain, each on a single-domain sub-topology — behind
-	// a router with the Submit/SubmitWait/SubmitAll surface of a single
-	// runtime, job placement policies, and an overflow exchange that
+	// Pool is the job server: S independent Runtimes — by default one per
+	// LLC locality domain, each on its own domains of the topology — behind
+	// a router with job placement policies and an overflow exchange that
 	// forwards whole jobs (never interior tasks) off saturated shards.
 	Pool = shard.Pool
 	// PoolOption configures NewPool.
 	PoolOption = shard.Option
-	// PoolJob is a pool job handle: the member runtime's Job plus Shard(),
-	// the index of the runtime that admitted and executes it.
+	// PoolJob is the handle to one submitted root computation: a typed
+	// future of the result with per-job identity (ID), Stats, submit→done
+	// Latency and profiler attribution (Event.Job), plus Shard(), the index
+	// of the runtime that admitted and executes it. The handle is a value
+	// (steady-state submit+wait allocates nothing); copy it freely but
+	// consume it — Wait/WaitErr/TryWait — exactly once across all copies.
 	PoolJob[T any] = shard.Job[T]
 	// Placement selects how the pool routes unkeyed submits.
 	Placement = shard.Placement
@@ -623,7 +592,8 @@ func WithPoolWorkers(n int) PoolOption { return shard.WithWorkers(n) }
 func WithPoolMaxInFlight(n int) PoolOption { return shard.WithMaxInFlight(n) }
 
 // WithPoolTopology injects the machine topology shards are carved from:
-// shard i is built on the single-domain carve-out of domain i mod D.
+// shard i of S is built on the domains {d : d mod S = i} (domain i mod D
+// when S exceeds the domain count D), so a one-shard pool keeps them all.
 func WithPoolTopology(t *Topology) PoolOption { return shard.WithTopology(t) }
 
 // WithPlacement sets the routing policy for unkeyed submits (default
@@ -661,9 +631,12 @@ func PoolSubmitWait[T any](p *Pool, fn func(*W) T) (PoolJob[T], error) {
 	return shard.SubmitWait(p, fn)
 }
 
-// PoolSubmitAll batch-submits on one home shard (the single-runtime
-// batching contract), overflowing the remainder batch-wise to the next
-// least-loaded shard on partial admission before shedding the rest.
+// PoolSubmitAll batch-submits on one home shard — one admission visit, one
+// registry-shard lock, one wakeup decision for the whole batch — appending
+// the handles to dst (pass a retained slice to avoid growth). On partial
+// admission the remainder overflows batch-wise to the next least-loaded
+// shard before the rest is shed: the admitted prefix comes back alongside
+// ErrSaturated.
 func PoolSubmitAll[T any](p *Pool, fns []func(*W) T, dst []PoolJob[T]) ([]PoolJob[T], error) {
 	return shard.SubmitAll(p, fns, dst)
 }

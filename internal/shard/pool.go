@@ -126,10 +126,11 @@ func WithMaxInFlight(n int) Option {
 }
 
 // WithTopology injects the machine topology shards are carved from: shard
-// i is built on SubDomain(i mod domains), so with the default shard count
-// every LLC domain hosts exactly one shard and every shard's workers share
-// one LLC. The default (nil) is the host topology from sysfs with a flat
-// fallback.
+// i of S is built on the domains {d : d mod S = i} (domain i mod D when
+// S exceeds the domain count D), so with the default shard count every LLC
+// domain hosts exactly one shard and every shard's workers share one LLC,
+// while a one-shard pool keeps the whole machine's domains. The default
+// (nil) is the host topology from sysfs with a flat fallback.
 func WithTopology(t *topology.Topology) Option {
 	return func(c *config) { c.topo = t }
 }
@@ -220,7 +221,7 @@ func NewPool(opts ...Option) *Pool {
 			w++
 		}
 		rtOpts := append(append([]runtime.Option{}, cfg.rtOpts...),
-			runtime.WithTopology(topo.SubDomain(i%topo.NumDomains())),
+			runtime.WithTopology(topo.SubDomain(shardDomains(i, n, topo.NumDomains())...)),
 			runtime.WithWorkers(w),
 		)
 		if cfg.maxInFlight > 0 {
@@ -236,6 +237,21 @@ func NewPool(opts ...Option) *Pool {
 		p.rts = append(p.rts, runtime.New(rtOpts...))
 	}
 	return p
+}
+
+// shardDomains lists the LLC domains shard i of n is built on: every
+// domain d with d mod n == i, so fewer shards than domains still use every
+// domain (one shard spans them all), and more shards than domains wrap
+// onto domain i mod domains.
+func shardDomains(i, n, domains int) []int {
+	var ds []int
+	for d := i; d < domains; d += n {
+		ds = append(ds, d)
+	}
+	if len(ds) == 0 {
+		ds = append(ds, i%domains)
+	}
+	return ds
 }
 
 // Shards returns the shard count.

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"errors"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -56,6 +57,30 @@ func TestAutoShardsFromTopology(t *testing.T) {
 		}
 		want := "synthetic:2x2/domain" + string(rune('0'+i))
 		if got := rt.Topology().Source; got != want {
+			t.Fatalf("shard %d topology source = %q, want %q", i, got, want)
+		}
+	}
+}
+
+// TestFewerShardsThanDomains: shard i of S takes the domains {d : d mod S
+// = i}, so no domain goes unused — a one-shard pool on a 2x2 layout is the
+// direct runtime on that layout, with both domains and the same striping.
+func TestFewerShardsThanDomains(t *testing.T) {
+	topo := synth(t, "2x2")
+	p := NewPool(WithShards(1), WithTopology(topo), WithWorkers(4))
+	defer p.Shutdown()
+	rt := runtime.New(runtime.WithTopology(topo), runtime.WithWorkers(4))
+	defer rt.Shutdown()
+	if got := p.Runtime(0).NumDomains(); got != 2 {
+		t.Fatalf("1-shard pool domains = %d, want 2", got)
+	}
+	if got, want := p.Runtime(0).DomainAssignment(), rt.DomainAssignment(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("1-shard pool striping = %v, direct runtime %v", got, want)
+	}
+	p2 := NewPool(WithShards(2), WithTopology(synth(t, "4x1")), WithWorkers(4))
+	defer p2.Shutdown()
+	for i, want := range []string{"synthetic:4x1/domain0,2", "synthetic:4x1/domain1,3"} {
+		if got := p2.Runtime(i).Topology().Source; got != want {
 			t.Fatalf("shard %d topology source = %q, want %q", i, got, want)
 		}
 	}
@@ -337,6 +362,7 @@ func TestConservation(t *testing.T) {
 	defer p.Shutdown()
 	const offered = 400
 	var jobs []Job[int]
+	waited := 0 // jobs[:waited] are consumed; a handle is waited exactly once
 	for i := 0; i < offered; i++ {
 		j, err := Submit(p, func(*runtime.W) int { return i * i })
 		if err != nil {
@@ -347,11 +373,13 @@ func TestConservation(t *testing.T) {
 		}
 		jobs = append(jobs, j)
 		if len(jobs)%16 == 0 { // let the pool breathe so some jobs complete
-			jobs[len(jobs)-1].Wait()
+			for ; waited < len(jobs); waited++ {
+				jobs[waited].Wait()
+			}
 		}
 	}
-	for i := range jobs {
-		jobs[i].Wait()
+	for ; waited < len(jobs); waited++ {
+		jobs[waited].Wait()
 	}
 	var submitted, completed, inFlight int64
 	for i := 0; i < p.Shards(); i++ {

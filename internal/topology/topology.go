@@ -298,27 +298,35 @@ func cpuListKey(set []int) string {
 // NumDomains returns the LLC domain count.
 func (t *Topology) NumDomains() int { return len(t.Domains) }
 
-// SubDomain carves out the single-domain topology covering only domain d's
+// SubDomain carves out the topology covering only the listed domains'
 // CPUs — the shape a sharded pool hands each member runtime so its workers
-// stripe inside one LLC instead of across the whole machine. The result has
-// one domain with ID 0 (domain IDs are positional within a topology), the
-// same CPU list as t.Domains[d], and a Source recording the provenance
-// ("sysfs/domain1"). Cache levels below the LLC are not carried over: a
-// single-domain runtime has no cross-domain boundary for the scheduler to
-// respect, so the sub-levels would be dead weight. Out-of-range d panics —
-// it is a construction-time programming error, not a runtime condition.
-func (t *Topology) SubDomain(d int) *Topology {
-	if d < 0 || d >= len(t.Domains) {
-		panic(fmt.Sprintf("topology: SubDomain(%d) of %d-domain topology", d, len(t.Domains)))
+// stripe inside its own LLCs instead of across the whole machine. The
+// result keeps the listed domains in order, renumbered 0..len(ds)-1
+// (domain IDs are positional within a topology), with copies of their CPU
+// lists and a Source recording the provenance ("sysfs/domain1",
+// "synthetic:2x2/domain0,1"). Cache levels below the LLC are not carried
+// over: the scheduler stripes and steals by LLC domain only. An empty or
+// out-of-range list panics — it is a construction-time programming error,
+// not a runtime condition.
+func (t *Topology) SubDomain(ds ...int) *Topology {
+	if len(ds) == 0 {
+		panic("topology: SubDomain of no domains")
 	}
-	src := t.Domains[d]
-	cpus := make([]int, len(src.CPUs))
-	copy(cpus, src.CPUs)
-	return &Topology{
-		CPUs:    len(cpus),
-		Domains: []Domain{{ID: 0, CPUs: cpus}},
-		Source:  fmt.Sprintf("%s/domain%d", t.Source, src.ID),
+	sub := &Topology{}
+	ids := make([]string, len(ds))
+	for i, d := range ds {
+		if d < 0 || d >= len(t.Domains) {
+			panic(fmt.Sprintf("topology: SubDomain(%d) of %d-domain topology", d, len(t.Domains)))
+		}
+		src := t.Domains[d]
+		cpus := make([]int, len(src.CPUs))
+		copy(cpus, src.CPUs)
+		sub.CPUs += len(cpus)
+		sub.Domains = append(sub.Domains, Domain{ID: i, CPUs: cpus})
+		ids[i] = strconv.Itoa(src.ID)
 	}
+	sub.Source = t.Source + "/domain" + strings.Join(ids, ",")
+	return sub
 }
 
 // String renders the topology as a human-readable dump — the CI artifact

@@ -184,6 +184,18 @@ func TestSubDomain(t *testing.T) {
 	if got := sub.SubDomain(0).Assign(4).Domain; !reflect.DeepEqual(got, []int{0, 0, 0, 0}) {
 		t.Fatalf("sub assign = %v", got)
 	}
+	// A multi-domain carve keeps the listed domains, renumbered in order.
+	two, _ := Synthetic("3x2")
+	multi := two.SubDomain(0, 2)
+	if multi.CPUs != 4 || len(multi.Domains) != 2 || multi.Domains[1].ID != 1 {
+		t.Fatalf("SubDomain(0, 2) = %+v", multi)
+	}
+	if !reflect.DeepEqual(multi.Domains[1].CPUs, []int{4, 5}) || multi.Source != "synthetic:3x2/domain0,2" {
+		t.Fatalf("SubDomain(0, 2) = %+v", multi)
+	}
+	if got := multi.Assign(4).Domain; !reflect.DeepEqual(got, []int{0, 0, 1, 1}) {
+		t.Fatalf("multi assign = %v", got)
+	}
 	defer func() {
 		if recover() == nil {
 			t.Fatal("SubDomain(2) of a 2-domain topology must panic")
