@@ -23,18 +23,13 @@ package main
 
 import (
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
-	"math"
 	"os"
 	gort "runtime"
-	"sort"
-	"sync"
 	"time"
 
 	fl "futurelocality"
-	"futurelocality/internal/stats"
 )
 
 // Entry is one benchmark measurement: a throughput sweep entry (workloads ×
@@ -119,56 +114,6 @@ type Entry struct {
 	Timeline []TimelinePoint `json:"timeline,omitempty"`
 }
 
-// TimelinePoint is one periodic telemetry sample of a serve run, read from
-// the always-on counters, the latency histogram, and the flight recorder's
-// rolling envelope.
-type TimelinePoint struct {
-	TSec             float64 `json:"t_s"`
-	JobsDone         int64   `json:"jobs_done"`
-	JobsShed         int64   `json:"jobs_shed"`
-	InFlight         int     `json:"in_flight"`
-	TasksRun         int64   `json:"tasks_run"`
-	Steals           int64   `json:"steals"`
-	P99LatencyMS     float64 `json:"p99_latency_ms"`
-	FlightDeviations int64   `json:"flight_deviations"`
-	FlightEnvelope   int64   `json:"flight_envelope"`
-	WithinBound      bool    `json:"within_bound"`
-}
-
-// samplePoint reads one timeline sample off the live pool — atomic
-// snapshot loads plus a flight-window reconstruction per shard, cheap
-// enough for a 500ms cadence: counters and steals summed over the shard
-// snapshots, the tail from the merged latency histogram, shed from the
-// router (jobs dropped everywhere, not per-shard refusals), and the flight
-// fields summed over the shards carrying recorders — WithinBound only when
-// every recorded window sits inside its envelope.
-func samplePoint(p *fl.Pool, start time.Time) TimelinePoint {
-	pt := TimelinePoint{
-		TSec:         time.Since(start).Seconds(),
-		JobsShed:     p.Shed(),
-		InFlight:     p.InFlight(),
-		P99LatencyMS: float64(p.LatencyHist().Quantile(0.99)) / 1e6,
-	}
-	for _, s := range p.TelemetrySnapshots() {
-		pt.JobsDone += s.Total(fl.CJobsCompleted)
-		pt.TasksRun += s.Total(fl.CTasksRun)
-		pt.Steals += s.Steals()
-	}
-	within, any := true, false
-	for i := 0; i < p.Shards(); i++ {
-		env, err := p.FlightEnvelope(i)
-		if err != nil {
-			continue
-		}
-		any = true
-		pt.FlightDeviations += env.Deviations
-		pt.FlightEnvelope += env.Budget
-		within = within && env.Within()
-	}
-	pt.WithinBound = any && within
-	return pt
-}
-
 // Output is the file schema.
 type Output struct {
 	GoMaxProcs int `json:"gomaxprocs"`
@@ -196,701 +141,6 @@ type KneeRecord struct {
 	Workers     int     `json:"workers"`
 	RateJobsSec float64 `json:"knee_rate_jobs_sec"`
 	Throughput  float64 `json:"knee_throughput_jobs_sec"`
-}
-
-// calOnce times one run of the fixed sequential kernel: a pure-CPU
-// xorshift loop of ~10ms — long enough to sample the machine's current
-// effective speed, short enough to interleave around every benchmark rep.
-func calOnce() int64 {
-	start := time.Now()
-	x := uint64(88172645463325252)
-	var acc uint64
-	for i := 0; i < 10_000_000; i++ {
-		x ^= x << 13
-		x ^= x >> 7
-		x ^= x << 17
-		acc += x
-	}
-	ns := time.Since(start).Nanoseconds()
-	if acc == 0 {
-		fmt.Fprintln(os.Stderr, "runtimebench: calibration underflow")
-		os.Exit(1)
-	}
-	return ns
-}
-
-func fibSeq(n int) int {
-	if n < 2 {
-		return n
-	}
-	a, b := 0, 1
-	for i := 2; i <= n; i++ {
-		a, b = b, a+b
-	}
-	return b
-}
-
-func fib(rt *fl.Runtime, w *fl.W, n, cutoff int) int {
-	if n < cutoff {
-		return fibSeq(n)
-	}
-	f := fl.Spawn(rt, w, func(w *fl.W) int { return fib(rt, w, n-1, cutoff) })
-	y := fib(rt, w, n-2, cutoff)
-	return f.Touch(w) + y
-}
-
-func pipeline(rt *fl.Runtime, w *fl.W, items int) int {
-	st := fl.Produce(rt, w, items, func(_ *fl.W, i int) int { return i*31 + 7 })
-	acc := 0
-	for i := 0; i < items; i++ {
-		acc ^= st.Get(w, i)
-	}
-	return acc
-}
-
-// treeNode is a heap-allocated binary tree node: the tree-sum workload is
-// the pointer-chasing traversal whose cache behavior the paper's model is
-// about — every task touches scattered heap lines, so scheduler-induced
-// deviations show up as real misses, not just counter noise.
-type treeNode struct {
-	val         int
-	left, right *treeNode
-}
-
-// buildTree builds a balanced tree of the given depth with distinct values.
-func buildTree(depth int, next *int) *treeNode {
-	if depth == 0 {
-		return nil
-	}
-	n := &treeNode{val: *next}
-	*next++
-	n.left = buildTree(depth-1, next)
-	n.right = buildTree(depth-1, next)
-	return n
-}
-
-func treeSumSeq(n *treeNode) int {
-	if n == nil {
-		return 0
-	}
-	return n.val + treeSumSeq(n.left) + treeSumSeq(n.right)
-}
-
-// treeSum forks per subtree down to the cutoff depth, spawning the left
-// subtree as a future and recursing into the right — the Figure-style
-// future-parallel traversal.
-func treeSum(rt *fl.Runtime, w *fl.W, n *treeNode, depth, cutoff int) int {
-	if n == nil {
-		return 0
-	}
-	if depth <= cutoff {
-		return treeSumSeq(n)
-	}
-	f := fl.Spawn(rt, w, func(w *fl.W) int { return treeSum(rt, w, n.left, depth-1, cutoff) })
-	r := treeSum(rt, w, n.right, depth-1, cutoff)
-	return n.val + f.Touch(w) + r
-}
-
-// xorshift64 is the benchmark's seeded generator (input synthesis and
-// per-node grain work).
-func xorshift64(x uint64) uint64 {
-	x ^= x << 13
-	x ^= x >> 7
-	x ^= x << 17
-	return x
-}
-
-// quicksort is the runtime analogue of the internal/graphs quicksort
-// family: a future-parallel randomized quicksort whose irregular,
-// data-dependent fork tree is exactly the shape that separates steal
-// policies (unbalanced partitions leave deep one-sided backlogs for
-// thieves). Each call sorts a fresh copy of the pristine input; the
-// returned checksum is position-weighted so any misplacement changes it.
-func quicksort(rt *fl.Runtime, w *fl.W, dst, src []int, cutoff int) int {
-	copy(dst, src)
-	qsort(rt, w, dst, cutoff)
-	sum := 0
-	for i, v := range dst {
-		sum += (i%64 + 1) * v
-	}
-	return sum
-}
-
-// qsort forks the left partition as a future and recurses into the right —
-// the same fork orientation as graphs.Quicksort. The len < 3 floor keeps
-// partition's median-of-three indexing in range whatever -qsortcut says.
-func qsort(rt *fl.Runtime, w *fl.W, a []int, cutoff int) {
-	if len(a) <= cutoff || len(a) < 3 {
-		sort.Ints(a)
-		return
-	}
-	p := partition(a)
-	left, right := a[:p], a[p+1:]
-	f := fl.Spawn(rt, w, func(w *fl.W) struct{} { qsort(rt, w, left, cutoff); return struct{}{} })
-	qsort(rt, w, right, cutoff)
-	f.Touch(w)
-}
-
-// partition is a median-of-three Hoare-style partition returning the final
-// pivot index.
-func partition(a []int) int {
-	n := len(a)
-	m := n / 2
-	if a[m] < a[0] {
-		a[m], a[0] = a[0], a[m]
-	}
-	if a[n-1] < a[0] {
-		a[n-1], a[0] = a[0], a[n-1]
-	}
-	if a[n-1] < a[m] {
-		a[n-1], a[m] = a[m], a[n-1]
-	}
-	a[m], a[n-2] = a[n-2], a[m]
-	pivot := a[n-2]
-	i := 0
-	for j := 1; j < n-2; j++ {
-		if a[j] < pivot {
-			i++
-			if i != j {
-				a[i], a[j] = a[j], a[i]
-			}
-		}
-	}
-	a[i+1], a[n-2] = a[n-2], a[i+1]
-	return i + 1
-}
-
-// randstruct is the runtime analogue of graphs.RandomStructured: a seeded
-// random structured single-touch computation. Every task burns a grain of
-// arithmetic, spawns a seed-determined number of children, hands one of
-// its still-untouched futures to a child (the Figure 5(b) pass-a-future
-// pattern), and touches everything it still holds before returning. The
-// fork tree and the checksum are pure functions of the seed, so the result
-// is schedule-independent while the touch pattern is irregular enough to
-// exercise every steal policy.
-func randstruct(rt *fl.Runtime, w *fl.W, seed uint64, depth int) int {
-	rng := seed
-	acc := 0
-	// Grain work: enough arithmetic that a task is not pure scheduler
-	// overhead (fib already measures that).
-	for i := 0; i < 256; i++ {
-		rng = xorshift64(rng)
-		acc += int(rng & 0xff)
-	}
-	if depth == 0 {
-		return acc
-	}
-	kids := 1 + int(rng%3)
-	var open []*fl.Future[int]
-	for i := 0; i < kids; i++ {
-		rng = xorshift64(rng)
-		childSeed := rng
-		rng = xorshift64(rng)
-		var passed *fl.Future[int]
-		if len(open) > 0 && rng&1 == 0 {
-			// Hand our oldest untouched future to the child: its touch moves
-			// to a descendant, which keeps the computation structured (the
-			// fork still precedes the touch on every path) but non-fork-join.
-			passed = open[0]
-			open = open[1:]
-		}
-		d := depth - 1
-		f := fl.Spawn(rt, w, func(w *fl.W) int {
-			v := randstruct(rt, w, childSeed, d)
-			if passed != nil {
-				v += passed.Touch(w)
-			}
-			return v
-		})
-		open = append(open, f)
-	}
-	for _, f := range open {
-		acc += f.Touch(w)
-	}
-	return acc
-}
-
-// matmul multiplies dim×dim matrices row-parallel via ForEach and returns a
-// checksum. The row-major inner loops are the cache-friendly dense kernel;
-// what the benchmark observes is how much scheduler overhead rides on top.
-func matmul(rt *fl.Runtime, w *fl.W, a, b, c []float64, dim int) int {
-	fl.ForEachPar(rt, w, dim, 8, func(w *fl.W, i int) {
-		row := c[i*dim : (i+1)*dim]
-		for j := range row {
-			row[j] = 0
-		}
-		for k := 0; k < dim; k++ {
-			aik := a[i*dim+k]
-			brow := b[k*dim : (k+1)*dim]
-			for j := range row {
-				row[j] += aik * brow[j]
-			}
-		}
-	})
-	sum := 0.0
-	for _, v := range c {
-		sum += v
-	}
-	return int(sum)
-}
-
-// serveKind is one of the small mixed request bodies the serve scenario
-// submits, with its expected result (checked per job — a server that
-// answers fast but wrong is not a server).
-type serveKind struct {
-	fn   func(*fl.W) int
-	want int
-}
-
-// makeServeKinds precomputes the three job bodies once per server, so the
-// arrival loop submits existing closures instead of allocating one per
-// request — the submit path under measurement stays the pool's, not the
-// harness's. The bodies resolve the runtime from the executing worker
-// (w.Runtime()), so a job the router forwarded to another shard spawns its
-// interior tasks on that shard — whole jobs move between shards, interior
-// tasks never do.
-func makeServeKinds(tree *treeNode, treeDepth, treeCut int) [3]serveKind {
-	const items = 512
-	pipeWant := 0
-	for i := 0; i < items; i++ {
-		pipeWant ^= i*31 + 7
-	}
-	return [3]serveKind{
-		{func(w *fl.W) int { return fib(w.Runtime(), w, 20, 12) }, fibSeq(20)},
-		{func(w *fl.W) int { return treeSum(w.Runtime(), w, tree, treeDepth, treeCut) }, treeSumSeq(tree)},
-		{func(w *fl.W) int { return pipeline(w.Runtime(), w, items) }, pipeWant},
-	}
-}
-
-// serveConfig parameterizes one open-loop job-server run.
-type serveConfig struct {
-	workload    string // the Entry.Workload tag: "serve" or "knee"
-	workers     int
-	dur         time.Duration
-	rate        float64 // offered arrival rate, jobs/sec
-	maxInFlight int
-	seed        uint64
-	// batch groups arrivals: each arrival event carries batch jobs submitted
-	// in one SubmitAll visit (the batching front-end model — a proxy
-	// coalescing requests), at an event rate of rate/batch so the offered
-	// job rate is unchanged. 0 or 1 submits singly.
-	batch int
-	// timeline enables the 500ms telemetry sampler (the serve scenario's
-	// live view; the knee sweep leaves it off — many short runs).
-	timeline bool
-	// shards is the pool's member-runtime count: domain-aligned runtimes
-	// behind the job router (1 = a single runtime serving jobs).
-	shards int
-}
-
-// serve runs one job-server scenario on a pool of cfg.shards runtimes: an
-// open-loop arrival process (the next arrival is scheduled by an
-// exponential inter-arrival draw from the offered rate, independent of
-// completions — so a slow server builds queue and its latency tail shows
-// it, exactly what a closed loop would hide) submitting small mixed
-// fib/treesum/pipeline jobs for the given duration, with
-// WithPoolMaxInFlight admission shedding overload. The measured knee
-// includes placement and overflow forwarding, not just one runtime's
-// admission. It reports sustained throughput and the completed jobs'
-// p50/p95/p99 submit→done latency; JobsRejected counts jobs no shard
-// admitted, JobsForwarded jobs the overflow exchange rescued onto a
-// non-home shard.
-func serve(cfg serveConfig) Entry {
-	// The serve runtimes carry the full observability stack (the sweep
-	// runtimes deliberately do not add the flight recorder, keeping the
-	// gated numbers comparable to the committed baseline): a sampler
-	// goroutine reads the counters, latency histogram, and rolling
-	// flight-window envelope every 500ms into the entry's Timeline.
-	p := fl.NewPool(fl.WithShards(cfg.shards), fl.WithPoolWorkers(cfg.workers),
-		fl.WithPoolMaxInFlight(cfg.maxInFlight),
-		fl.WithShardRuntimeOptions(fl.WithFlightRecorder(0)))
-	defer p.Shutdown()
-
-	// A small tree (2^12-1 nodes) keeps one treesum job ~request-sized.
-	const treeDepth, treeCut = 12, 8
-	next := 0
-	tree := buildTree(treeDepth, &next)
-	kinds := makeServeKinds(tree, treeDepth, treeCut)
-	batch := cfg.batch
-	if batch < 1 {
-		batch = 1
-	}
-
-	var (
-		mu        sync.Mutex
-		latencies []float64 // ms, completed jobs only
-		wg        sync.WaitGroup
-		rejected  int64
-	)
-	rng := cfg.seed | 1
-	start := time.Now()
-
-	var (
-		timeline []TimelinePoint
-		tlStop   = make(chan struct{})
-		tlDone   = make(chan struct{})
-	)
-	if cfg.timeline {
-		go func() {
-			defer close(tlDone)
-			tick := time.NewTicker(500 * time.Millisecond)
-			defer tick.Stop()
-			for {
-				select {
-				case <-tlStop:
-					return
-				case <-tick.C:
-					timeline = append(timeline, samplePoint(p, start))
-				}
-			}
-		}()
-	}
-
-	// The per-job handler: waits for its own job and records its latency,
-	// like an HTTP handler goroutine writing the response.
-	handle := func(j fl.PoolJob[int], want int) {
-		defer wg.Done()
-		v, err := j.WaitErr()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "runtimebench: serve job:", err)
-			os.Exit(1)
-		}
-		if v != want {
-			fmt.Fprintf(os.Stderr, "runtimebench: serve job = %d, want %d\n", v, want)
-			os.Exit(1)
-		}
-		ms := float64(j.Latency()) / 1e6
-		mu.Lock()
-		latencies = append(latencies, ms)
-		mu.Unlock()
-	}
-
-	fns := make([]func(*fl.W) int, 0, batch)
-	wants := make([]int, 0, batch)
-	dst := make([]fl.PoolJob[int], 0, batch)
-	due := start
-	for {
-		rng = xorshift64(rng)
-		// Exponential inter-arrival between events: -ln(U)·batch/rate, U
-		// uniform in (0,1] — batch jobs per event keeps the offered job rate.
-		u := (float64(rng>>11) + 1) / (1 << 53)
-		due = due.Add(time.Duration(-math.Log(u) * float64(batch) / cfg.rate * float64(time.Second)))
-		if due.Sub(start) >= cfg.dur {
-			break
-		}
-		if d := time.Until(due); d > 0 {
-			time.Sleep(d)
-		}
-		if batch == 1 {
-			rng = xorshift64(rng)
-			k := kinds[rng%3]
-			j, err := fl.PoolSubmit(p, k.fn)
-			if err != nil {
-				// ErrSaturated everywhere: every candidate shard refused.
-				rejected++
-				continue
-			}
-			wg.Add(1)
-			go handle(j, k.want)
-			continue
-		}
-		fns, wants, dst = fns[:0], wants[:0], dst[:0]
-		for b := 0; b < batch; b++ {
-			rng = xorshift64(rng)
-			k := kinds[rng%3]
-			fns = append(fns, k.fn)
-			wants = append(wants, k.want)
-		}
-		var err error
-		dst, err = fl.PoolSubmitAll(p, fns, dst)
-		if err != nil && !errors.Is(err, fl.ErrSaturated) {
-			fmt.Fprintln(os.Stderr, "runtimebench: serve batch:", err)
-			os.Exit(1)
-		}
-		// Partial admission: the admitted prefix proceeds, the rest is shed.
-		rejected += int64(batch - len(dst))
-		for k := range dst {
-			wg.Add(1)
-			go handle(dst[k], wants[k])
-		}
-	}
-	wg.Wait()
-	if cfg.timeline {
-		close(tlStop)
-		<-tlDone
-		// One closing sample captures the drained end state.
-		timeline = append(timeline, samplePoint(p, start))
-	}
-	elapsed := time.Since(start).Seconds()
-
-	e := Entry{
-		Workload:      cfg.workload,
-		Discipline:    p.Runtime(0).Discipline().String(),
-		Steal:         p.Runtime(0).StealPolicy().String(),
-		Workers:       cfg.workers,
-		Shards:        p.Shards(),
-		N:             len(latencies),
-		DurationS:     elapsed,
-		RateJobsSec:   cfg.rate,
-		Throughput:    float64(len(latencies)) / elapsed,
-		JobsDone:      int64(len(latencies)),
-		JobsRejected:  rejected,
-		JobsForwarded: p.Forwarded(),
-		MaxInFlight:   cfg.maxInFlight,
-		Timeline:      timeline,
-	}
-	if batch > 1 {
-		e.BatchSize = batch
-	}
-	if len(latencies) > 0 {
-		pq := stats.Percentiles(latencies, 50, 95, 99)
-		e.P50LatencyMS, e.P95LatencyMS, e.P99LatencyMS = pq[0], pq[1], pq[2]
-		e.MeanLatencyMS = stats.Summarize(latencies).Mean
-	}
-	return e
-}
-
-// kneeParams parameterizes the knee-finder: a geometric arrival-rate sweep
-// that reruns the serve engine at rate·factor^i until the server stops
-// sustaining the offered load.
-type kneeParams struct {
-	workers, maxInFlight, steps, batch, shards int
-	perRate                                    time.Duration
-	start, factor                              float64
-	// A rate is sustained when the shed fraction stays at or under shedMax
-	// AND p99 latency stays at or under p99MaxMS.
-	shedMax, p99MaxMS float64
-	seed              uint64
-}
-
-// kneeFind sweeps arrival rates geometrically and reports the knee: the
-// highest offered rate the server sustained, and the throughput measured
-// there. Each rate's full serve entry (shed, percentiles) lands in the
-// output so the whole rate-response curve is recorded, not just the knee.
-func kneeFind(p kneeParams) (entries []Entry, kneeRate, kneeThroughput float64) {
-	rate := p.start
-	for i := 0; i < p.steps; i++ {
-		e := serve(serveConfig{
-			workload: "knee", workers: p.workers, dur: p.perRate, rate: rate,
-			maxInFlight: p.maxInFlight, seed: p.seed + uint64(i)*97, batch: p.batch,
-			shards: p.shards,
-		})
-		offered := e.JobsDone + e.JobsRejected
-		shed := 0.0
-		if offered > 0 {
-			shed = float64(e.JobsRejected) / float64(offered)
-		}
-		e.Sustained = shed <= p.shedMax && e.P99LatencyMS <= p.p99MaxMS
-		entries = append(entries, e)
-		verdict := "sustained"
-		if !e.Sustained {
-			verdict = "knee crossed"
-		}
-		fmt.Printf("runtimebench: knee shards=%d rate=%.0f/s done=%d fwd=%d shed=%.3f p50=%.2fms p99=%.2fms → %s\n",
-			p.shards, rate, e.JobsDone, e.JobsForwarded, shed, e.P50LatencyMS, e.P99LatencyMS, verdict)
-		if !e.Sustained {
-			break
-		}
-		kneeRate, kneeThroughput = rate, e.Throughput
-		rate *= p.factor
-	}
-	if kneeRate == 0 {
-		fmt.Println("runtimebench: knee: no rate sustained — server saturated below the sweep floor")
-	} else {
-		fmt.Printf("runtimebench: knee at %.0f jobs/s offered (%.0f jobs/s measured throughput)\n",
-			kneeRate, kneeThroughput)
-	}
-	return entries, kneeRate, kneeThroughput
-}
-
-// simModel, when non-nil, makes every measure() entry carry the
-// footprint-replay cache-cost fields (set from -cachemodel in main).
-var simModel *fl.CacheModel
-
-func median64(xs []int64) int64 {
-	sort.Slice(xs, func(i, j int) bool { return xs[i] < xs[j] })
-	return xs[len(xs)/2]
-}
-
-func medianU64(xs []uint64) uint64 {
-	sort.Slice(xs, func(i, j int) bool { return xs[i] < xs[j] })
-	return xs[len(xs)/2]
-}
-
-func measure(name string, d fl.Discipline, sp fl.StealPolicy, topo *fl.Topology, workers, n, reps int, run func(*fl.Runtime, *fl.W) int, want int) Entry {
-	opts := []fl.RuntimeOption{fl.WithWorkers(workers), fl.WithDiscipline(d), fl.WithStealPolicy(sp)}
-	topoName := ""
-	if topo != nil {
-		opts = append(opts, fl.WithTopology(topo))
-		topoName = topo.Source
-	}
-	rt := fl.NewRuntime(opts...)
-	defer rt.Shutdown()
-	check := func(got int) {
-		if got != want {
-			fmt.Fprintf(os.Stderr, "runtimebench: %s/%s/%s = %d, want %d\n", name, d, sp, got, want)
-			os.Exit(1)
-		}
-	}
-	// Warmup, and size the per-rep batch so one rep runs ≥40ms: a rep
-	// comparable to the ~10ms calibration kernel would make the rep/cal
-	// ratio noisy (a burst can hit one without the other), and short-lived
-	// scenarios need a batch long enough to average over GC placement. Two
-	// warmup runs, sized by the faster one: the first run often pays
-	// one-time costs (lazy allocation, cold caches) and would undersize
-	// the batch.
-	single := int64(0)
-	for i := 0; i < 2; i++ {
-		start := time.Now()
-		check(fl.Run(rt, func(w *fl.W) int { return run(rt, w) }))
-		ns := time.Since(start).Nanoseconds()
-		if single == 0 || ns < single {
-			single = ns
-		}
-	}
-	iters := 1
-	if single > 0 && single < 40e6 {
-		iters = int(40e6/single) + 1
-	}
-	var times []int64
-	var allocs []uint64
-	bestRatio := 0.0
-	var ms0, ms1 gort.MemStats
-	for r := 0; r < reps; r++ {
-		c0 := calOnce()
-		gort.ReadMemStats(&ms0)
-		start := time.Now()
-		for it := 0; it < iters; it++ {
-			check(fl.Run(rt, func(w *fl.W) int { return run(rt, w) }))
-		}
-		elapsed := time.Since(start)
-		gort.ReadMemStats(&ms1)
-		c1 := calOnce()
-		times = append(times, elapsed.Nanoseconds()/int64(iters))
-		allocs = append(allocs, (ms1.Mallocs-ms0.Mallocs)/uint64(iters))
-		ratio := float64(elapsed.Nanoseconds()) * 2 / float64(iters) / float64(c0+c1)
-		if bestRatio == 0 || ratio < bestRatio {
-			bestRatio = ratio
-		}
-	}
-	st := rt.Stats()
-	runs64 := int64(reps*iters + 2) // + the two warmup runs
-	ns := median64(times)           // sorts times; times[0] is now the best rep
-	e := Entry{
-		Workload: name, Discipline: d.String(), Steal: sp.String(), Workers: workers, N: n,
-		MedianMS: float64(ns) / 1e6, NsPerOp: ns, BestNs: times[0], BestRatio: bestRatio,
-		AllocsOp: medianU64(allocs), Reps: reps,
-		Tasks: st.TasksRun / runs64, Steals: st.Steals / runs64,
-		Inline: st.InlineTouches / runs64, Helped: st.HelpedTasks / runs64,
-		Blocked:  st.BlockedTouches / runs64,
-		Topology: topoName, IntraSteals: st.IntraSteals / runs64, CrossSteals: st.CrossSteals / runs64,
-	}
-	if simModel != nil {
-		// One extra profiled run (outside the timed reps and after Stats was
-		// read) reconstructs this workload's DAG; the cache-cost replay then
-		// charges it under this entry's own (discipline × steal) pair. The
-		// OPT baseline is skipped — the entry doesn't record it.
-		if err := rt.StartProfile(); err != nil {
-			fmt.Fprintln(os.Stderr, "runtimebench: cache model:", err)
-			os.Exit(1)
-		}
-		check(fl.Run(rt, func(w *fl.W) int { return run(rt, w) }))
-		model := *simModel
-		model.NoIdeal = true
-		rep, err := fl.AnalyzeProfile(rt.StopProfile(), fl.ProfileOptions{
-			P: workers, Trials: 2, NoMatrix: true, NoJobs: true,
-			Policy: d, Steal: sp, CacheModel: &model,
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "runtimebench: cache model:", err)
-			os.Exit(1)
-		}
-		cc := rep.Sim.CacheCost
-		e.CacheModel = cc.Model.String()
-		e.SimSeqMisses = cc.SeqMisses
-		e.SimExtraMisses = cc.MeanExtra()
-		e.SimExtraMissesMax = cc.MaxExtra()
-		e.SimMissEnvelope = cc.MissEnvelope
-	}
-	return e
-}
-
-// gateNs extracts the gated ns/op from an entry: best-of-reps when
-// present, falling back to the median fields for files written by older
-// schemas.
-func gateNs(e Entry) int64 {
-	if e.BestNs > 0 {
-		return e.BestNs
-	}
-	if e.NsPerOp > 0 {
-		return e.NsPerOp
-	}
-	return int64(e.MedianMS * 1e6)
-}
-
-// gateMetric extracts an entry's comparable cost: the calibrated ratio
-// when the file carries one, raw best/median ns otherwise (older schemas).
-// comparable reports whether the two entries use the same units.
-func gateMetric(e, other Entry) (v float64, calibrated bool) {
-	if e.BestRatio > 0 && other.BestRatio > 0 {
-		return e.BestRatio, true
-	}
-	return float64(gateNs(e)), false
-}
-
-// entryKey identifies a scenario across runs: workload × discipline ×
-// steal policy, plus the injected topology when one was set (files from the
-// pre-steal schema have Steal == "", which simply never matches a current
-// key — those entries gate nothing).
-func entryKey(e Entry) string {
-	k := e.Workload + "/" + e.Discipline + "/" + e.Steal
-	if e.Topology != "" {
-		k += "/" + e.Topology
-	}
-	if e.Shards > 0 {
-		k += fmt.Sprintf("/shards=%d", e.Shards)
-	}
-	return k
-}
-
-// checkRegression compares cur against base entry-by-entry (keyed on
-// workload × discipline × steal) and returns the list of entries that
-// regressed by more than maxRegressPct percent. When both files carry
-// per-rep calibrated ratios the comparison is in those units — portable
-// across machine speeds and robust to background load; otherwise raw ns.
-func checkRegression(base, cur Output, maxRegressPct float64) []string {
-	byKey := make(map[string]Entry)
-	for _, e := range base.Entries {
-		byKey[entryKey(e)] = e
-	}
-	var failures []string
-	for _, e := range cur.Entries {
-		if e.Workload == "serve" || e.Workload == "knee" {
-			// Open-loop latency entries are a trajectory, not a per-entry
-			// gate: CI background load moves tail latency far more than any
-			// real regression would, so serve and knee entries are recorded
-			// but never fail the build here (each knee configuration has its
-			// own whole-sweep gate on its KneeRecord throughput).
-			continue
-		}
-		b, ok := byKey[entryKey(e)]
-		if !ok {
-			continue // new scenario: no baseline yet
-		}
-		eV, calibrated := gateMetric(e, b)
-		bV, _ := gateMetric(b, e)
-		limit := bV * (1 + maxRegressPct/100)
-		if eV > limit {
-			unit := "ns/op"
-			if calibrated {
-				unit = "×cal"
-			}
-			failures = append(failures, fmt.Sprintf(
-				"%s: best %.4g %s vs baseline best %.4g %s, limit +%.0f%%",
-				entryKey(e), eV, unit, bV, unit, maxRegressPct))
-		}
-	}
-	return failures
 }
 
 func main() {
@@ -1024,253 +274,5 @@ func main() {
 			fmt.Fprintln(os.Stderr, "runtimebench: topo FAIL:", f)
 		}
 		os.Exit(1)
-	}
-}
-
-// sweepParams carries the workload sizes of the (workload × discipline ×
-// steal) throughput sweep.
-type sweepParams struct {
-	fibN, cutoff, items       int
-	treeDepth, treeCut, dim   int
-	qsortN, qsortCut, rsDepth int
-	rsSeed                    uint64
-	topo                      *fl.Topology
-}
-
-// sweep measures every headline workload under every (fork discipline ×
-// steal policy) pair.
-func sweep(wk, reps int, p sweepParams) []Entry {
-	fibN, cutoff, items := p.fibN, p.cutoff, p.items
-	treeDepth, treeCut, dim := p.treeDepth, p.treeCut, p.dim
-	qsortN, qsortCut := p.qsortN, p.qsortCut
-	rsDepth, rsSeed := p.rsDepth, p.rsSeed
-
-	fibWant := fibSeq(fibN)
-	pipeWant := 0
-	for i := 0; i < items; i++ {
-		pipeWant ^= i*31 + 7
-	}
-	next := 0
-	tree := buildTree(treeDepth, &next)
-	treeWant := treeSumSeq(tree)
-	a := make([]float64, dim*dim)
-	b := make([]float64, dim*dim)
-	c := make([]float64, dim*dim)
-	for i := range a {
-		a[i] = float64(i%7) - 3
-		b[i] = float64(i%5) - 2
-	}
-	qsrc := make([]int, qsortN)
-	qdst := make([]int, qsortN)
-	{
-		x := uint64(0x9e3779b97f4a7c15)
-		for i := range qsrc {
-			x = xorshift64(x)
-			qsrc[i] = int(x % 1_000_000)
-		}
-	}
-	// Schedule-independent checksums, computed once on a single worker.
-	var matWant, qsortWant, rsWant int
-	{
-		rt := fl.NewRuntime(fl.WithWorkers(1))
-		matWant = fl.Run(rt, func(w *fl.W) int { return matmul(rt, w, a, b, c, dim) })
-		qsortWant = fl.Run(rt, func(w *fl.W) int { return quicksort(rt, w, qdst, qsrc, qsortCut) })
-		rsWant = fl.Run(rt, func(w *fl.W) int { return randstruct(rt, w, rsSeed, rsDepth) })
-		rt.Shutdown()
-	}
-
-	var entries []Entry
-	for _, d := range []fl.Discipline{fl.FutureFirst, fl.ParentFirst} {
-		for _, sp := range fl.StealPolicies {
-			d, sp := d, sp
-			entries = append(entries,
-				measure("fib", d, sp, p.topo, wk, fibN, reps,
-					func(rt *fl.Runtime, w *fl.W) int { return fib(rt, w, fibN, cutoff) }, fibWant),
-				measure("pipeline", d, sp, p.topo, wk, items, reps,
-					func(rt *fl.Runtime, w *fl.W) int { return pipeline(rt, w, items) }, pipeWant),
-				measure("treesum", d, sp, p.topo, wk, treeDepth, reps,
-					func(rt *fl.Runtime, w *fl.W) int { return treeSum(rt, w, tree, treeDepth, treeCut) }, treeWant),
-				measure("matmul", d, sp, p.topo, wk, dim, reps,
-					func(rt *fl.Runtime, w *fl.W) int { return matmul(rt, w, a, b, c, dim) }, matWant),
-				measure("quicksort", d, sp, p.topo, wk, qsortN, reps,
-					func(rt *fl.Runtime, w *fl.W) int { return quicksort(rt, w, qdst, qsrc, qsortCut) }, qsortWant),
-				measure("randstruct", d, sp, p.topo, wk, rsDepth, reps,
-					func(rt *fl.Runtime, w *fl.W) int { return randstruct(rt, w, rsSeed, rsDepth) }, rsWant),
-			)
-		}
-	}
-	return entries
-}
-
-// topoCompare is the live locality check behind -scenario topo: fib and
-// treesum at 4 workers on a synthetic 2x2 topology, once under
-// random-single and once under hierarchical stealing, comparing the
-// cross-domain steal fraction. It returns the per-run entries plus the
-// failure messages (empty = pass). On runs where random-single recorded no
-// steals — a one-CPU box parallelizes nothing — the comparison is skipped
-// rather than failed, since there is no locality to improve on.
-func topoCompare(fibN, cutoff, treeDepth, treeCut, reps int) (entries []Entry, failures []string) {
-	const workers = 4
-	topo, err := fl.SyntheticTopology("2x2")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "runtimebench:", err)
-		os.Exit(1)
-	}
-	fibWant := fibSeq(fibN)
-	next := 0
-	tree := buildTree(treeDepth, &next)
-	treeWant := treeSumSeq(tree)
-
-	workloads := []struct {
-		name string
-		run  func(*fl.Runtime, *fl.W) int
-		n    int
-		want int
-	}{
-		{"fib", func(rt *fl.Runtime, w *fl.W) int { return fib(rt, w, fibN, cutoff) }, fibN, fibWant},
-		{"treesum", func(rt *fl.Runtime, w *fl.W) int { return treeSum(rt, w, tree, treeDepth, treeCut) }, treeDepth, treeWant},
-	}
-	frac := func(e Entry) float64 {
-		if e.Steals == 0 {
-			return 0
-		}
-		return float64(e.CrossSteals) / float64(e.Steals)
-	}
-	for _, wl := range workloads {
-		rand := measure(wl.name, fl.ParentFirst, fl.RandomSingle, topo, workers, wl.n, reps, wl.run, wl.want)
-		hier := measure(wl.name, fl.ParentFirst, fl.Hierarchical, topo, workers, wl.n, reps, wl.run, wl.want)
-		entries = append(entries, rand, hier)
-		if rand.Steals == 0 || rand.CrossSteals == 0 {
-			fmt.Printf("runtimebench: topo %s: random-single recorded %d steals (%d cross) — nothing to improve on, comparison skipped\n",
-				wl.name, rand.Steals, rand.CrossSteals)
-			continue
-		}
-		rf, hf := frac(rand), frac(hier)
-		fmt.Printf("runtimebench: topo %s: cross-domain fraction random-single=%.3f (%d/%d) hierarchical=%.3f (%d/%d)\n",
-			wl.name, rf, rand.CrossSteals, rand.Steals, hf, hier.CrossSteals, hier.Steals)
-		if hf >= rf {
-			failures = append(failures, fmt.Sprintf(
-				"%s: hierarchical cross-domain steal fraction %.3f is not below random-single's %.3f",
-				wl.name, hf, rf))
-		}
-	}
-	return entries, failures
-}
-
-// writeTopoDump writes the discovered host topology (and the synthetic one
-// the topo scenario used) to path, for CI artifact upload.
-func writeTopoDump(path string) {
-	body := "host (sysfs-discovered, flat fallback):\n" + fl.DetectTopology().String()
-	if synth, err := fl.SyntheticTopology("2x2"); err == nil {
-		body += "\nscenario topo synthetic layout:\n" + synth.String()
-	}
-	if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, "runtimebench:", err)
-		os.Exit(1)
-	}
-	fmt.Printf("runtimebench: wrote topology dump to %s\n", path)
-}
-
-// mergeOutput folds a fresh run into an existing output file (-append):
-// fresh entries replace same-key existing entries (knee entries carry
-// shards in their key, so a sharded knee rerun replaces only its own
-// configuration), and knee records upsert by (shards × workers) — so a
-// sharded knee run extends the committed baseline without discarding the
-// sweep entries recorded by the main run.
-func mergeOutput(existing, fresh Output) Output {
-	out := existing
-	produced := make(map[string]bool, len(fresh.Entries))
-	for _, e := range fresh.Entries {
-		produced[entryKey(e)] = true
-	}
-	var kept []Entry
-	for _, e := range existing.Entries {
-		if !produced[entryKey(e)] {
-			kept = append(kept, e)
-		}
-	}
-	out.Entries = append(kept, fresh.Entries...)
-	for _, r := range fresh.Knees {
-		replaced := false
-		for i, b := range out.Knees {
-			if b.Shards == r.Shards && b.Workers == r.Workers {
-				out.Knees[i] = r
-				replaced = true
-				break
-			}
-		}
-		if !replaced {
-			out.Knees = append(out.Knees, r)
-		}
-	}
-	return out
-}
-
-// writeAndGate writes the output file (merging into an existing one under
-// -append) and applies the regression gates against the baseline, if one
-// was given: the per-entry calibrated-ratio gate over the sweep entries and
-// a per-(shards × workers) gate over this run's knee records. A knee configuration with no matching
-// baseline key is recorded but never gated — new axes enter the file one
-// run before they start gating.
-func writeAndGate(o Output, out string, doAppend bool, base Output, haveBase bool, maxRegress, kneeRegress float64) {
-	final := o
-	if doAppend && out != "-" {
-		if raw, err := os.ReadFile(out); err == nil {
-			var existing Output
-			if err := json.Unmarshal(raw, &existing); err != nil {
-				fmt.Fprintln(os.Stderr, "runtimebench: -append:", err)
-				os.Exit(1)
-			}
-			final = mergeOutput(existing, o)
-		}
-	}
-	enc, err := json.MarshalIndent(final, "", "  ")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "runtimebench:", err)
-		os.Exit(1)
-	}
-	enc = append(enc, '\n')
-	if out == "-" {
-		os.Stdout.Write(enc)
-	} else {
-		if err := os.WriteFile(out, enc, 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "runtimebench:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("runtimebench: wrote %d entries to %s\n", len(final.Entries), out)
-	}
-
-	if haveBase {
-		if failures := checkRegression(base, o, maxRegress); len(failures) > 0 {
-			fmt.Fprintln(os.Stderr, "runtimebench: ns/op regression vs baseline:")
-			for _, f := range failures {
-				fmt.Fprintln(os.Stderr, "  "+f)
-			}
-			os.Exit(1)
-		}
-		fmt.Printf("runtimebench: no entry regressed more than %.0f%% vs baseline\n", maxRegress)
-		for _, r := range o.Knees {
-			var b *KneeRecord
-			for i := range base.Knees {
-				if base.Knees[i].Shards == r.Shards && base.Knees[i].Workers == r.Workers {
-					b = &base.Knees[i]
-					break
-				}
-			}
-			if b == nil || b.Throughput <= 0 || r.Throughput <= 0 {
-				fmt.Printf("runtimebench: no baseline knee for shards=%d workers=%d — recorded, not gated\n",
-					r.Shards, r.Workers)
-				continue
-			}
-			limit := b.Throughput * (1 - kneeRegress/100)
-			if r.Throughput < limit {
-				fmt.Fprintf(os.Stderr,
-					"runtimebench: knee regression (shards=%d workers=%d): %.0f jobs/s vs baseline %.0f jobs/s (limit -%.0f%%)\n",
-					r.Shards, r.Workers, r.Throughput, b.Throughput, kneeRegress)
-				os.Exit(1)
-			}
-			fmt.Printf("runtimebench: knee (shards=%d workers=%d) %.0f jobs/s holds vs baseline %.0f jobs/s (limit -%.0f%%)\n",
-				r.Shards, r.Workers, r.Throughput, b.Throughput, kneeRegress)
-		}
 	}
 }
