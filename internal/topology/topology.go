@@ -305,13 +305,10 @@ func (t *Topology) NumDomains() int { return len(t.Domains) }
 // (domain IDs are positional within a topology), with copies of their CPU
 // lists and a Source recording the provenance ("sysfs/domain1",
 // "synthetic:2x2/domain0,1"). Cache levels below the LLC are not carried
-// over: the scheduler stripes and steals by LLC domain only. An empty or
-// out-of-range list panics — it is a construction-time programming error,
-// not a runtime condition.
+// over: the scheduler stripes and steals by LLC domain only. An
+// out-of-range domain panics — it is a construction-time programming
+// error, not a runtime condition.
 func (t *Topology) SubDomain(ds ...int) *Topology {
-	if len(ds) == 0 {
-		panic("topology: SubDomain of no domains")
-	}
 	sub := &Topology{}
 	ids := make([]string, len(ds))
 	for i, d := range ds {
